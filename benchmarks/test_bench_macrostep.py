@@ -17,7 +17,9 @@ the wall-clock ratio by construction and is the acceptance number.
 
 Bars
 ----
-* allreduce-heavy p=1024: >= 3x equivalent sched-steps/s (full mode).
+* allreduce-heavy p=1024: >= 3x equivalent sched-steps/s (full mode,
+  ``coll_analytic`` off).  The same shape under the shipped defaults is
+  recorded alongside as ``allreduce_heavy_default``.
 * halo2d p=256 steady state: slope of wall-clock vs step count —
   measured between 24 and 96 Jacobi sweeps, which cancels startup,
   capture rounds and the REDUCE tail.  The honest measured ratio is
@@ -28,8 +30,10 @@ Bars
   artifact records the counters (``macrostep_p4096.txt``).
 
 ``REPRO_BENCH_FAST=1`` shrinks shapes and relaxes bars;
-``REPRO_PERF_SMOKE=1`` enables the CI regression gate, which fails on
-a >30% drop of the replay speedup against the committed baseline.
+``REPRO_PERF_SMOKE=1`` enables the CI regression gates: one fails on
+a >30% drop of the replay speedup against the committed baseline, the
+other when the shipped defaults run more than 10% slower than the
+faster single collective fast path.
 """
 
 from __future__ import annotations
@@ -69,13 +73,16 @@ def _allreduce_heavy(rounds):
     return gmain
 
 
-def _best_of(reps, p, gmain, macrostep):
-    """Best-of-N wall-clock (min rides out shared-host noise) + result."""
+def _best_of(reps, p, gmain, macrostep, coll_analytic=False):
+    """Best-of-N wall-clock (min rides out shared-host noise) + result.
+
+    ``None`` for a flag keeps its shipped default.
+    """
     t_best, r_best = None, None
     for _ in range(reps):
         t0 = time.perf_counter()
         res = run_mpi(p, gmain, machine=_machine(p), seed=3,
-                      coll_analytic=False, engine="threadfree",
+                      coll_analytic=coll_analytic, engine="threadfree",
                       macrostep=macrostep)
         dt = time.perf_counter() - t0
         if t_best is None or dt < t_best:
@@ -117,7 +124,10 @@ def test_macrostep_allreduce_heavy_p1024():
 
     t_on, r_on = _best_of(reps, p, gmain, macrostep=True)
     t_off, r_off = _best_of(reps, p, gmain, macrostep=False)
+    t_def, r_def = _best_of(reps, p, gmain, macrostep=None,
+                            coll_analytic=None)
     _assert_identical(r_on, r_off)
+    _assert_identical(r_def, r_off)
     assert r_on.rounds_captured > 0
     assert r_on.rounds_replayed > 0
     # The emulator drains whole rounds: fewer raw heap pops than the
@@ -140,6 +150,20 @@ def test_macrostep_allreduce_heavy_p1024():
             "rounds_captured": r_on.rounds_captured,
             "rounds_replayed": r_on.rounds_replayed,
             "deopts": r_on.deopts,
+        },
+        # The same shape under the shipped defaults (coll_analytic and
+        # macro-step both on), against the same interpreted baseline.
+        "allreduce_heavy_default": {
+            "ranks": p,
+            "rounds": rounds,
+            "wallclock_interpreted_s": t_off,
+            "wallclock_default_s": t_def,
+            "equiv_sched_steps_per_sec_default": r_off.sched_steps / t_def,
+            "speedup": t_off / t_def,
+            "sched_steps_default": r_def.sched_steps,
+            "collectives_gated": r_def.collectives_gated,
+            "collectives_fast": r_def.collectives_fast,
+            "collectives_emulated": r_def.collectives_emulated,
         },
     }})
     if FAST_MODE:
@@ -274,4 +298,34 @@ def test_perf_smoke_macrostep_regression():
     assert speedup >= floor, (
         f"macro-step replay speedup regressed: {speedup:.2f}x measured, "
         f"floor {floor:.2f}x (baseline {PERF_SMOKE_BASELINE_SPEEDUP}x - 30%)"
+    )
+
+
+#: Allowed slack of the shipped defaults over the faster single fast
+#: path on the perf-smoke shape (noise margin, not a tolerated loss).
+DEFAULT_COMPOSE_SLACK = 1.10
+
+
+def test_perf_smoke_default_composes():
+    """CI gate on the shipped defaults: the two collective fast paths
+    compose.  With ``coll_analytic`` and macro-step both on, replayed
+    rounds go to the flat emulator, so the default must be no slower
+    than the faster of macro-step alone and the analytic path alone."""
+    if not PERF_SMOKE:
+        import pytest
+
+        pytest.skip("set REPRO_PERF_SMOKE=1 to run the regression gate")
+    p, rounds = 256, 24
+    gmain = _allreduce_heavy(rounds)
+    t_def, r_def = _best_of(3, p, gmain, macrostep=None, coll_analytic=None)
+    t_ms, r_ms = _best_of(3, p, gmain, macrostep=True, coll_analytic=False)
+    t_ca, r_ca = _best_of(3, p, gmain, macrostep=False, coll_analytic=True)
+    _assert_identical(r_def, r_ms)
+    _assert_identical(r_def, r_ca)
+    assert r_def.collectives_emulated > 0
+    best = min(t_ms, t_ca)
+    assert t_def <= DEFAULT_COMPOSE_SLACK * best, (
+        f"default flags {t_def:.3f}s vs best single fast path {best:.3f}s "
+        f"(macro-step only {t_ms:.3f}s, analytic only {t_ca:.3f}s): "
+        f"over the {DEFAULT_COMPOSE_SLACK}x bar"
     )

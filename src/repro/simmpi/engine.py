@@ -188,7 +188,13 @@ class RunResult:
         Collective invocations that crossed the collective gate (see
         :mod:`repro.simmpi.coll_analytic`).
     collectives_fast:
-        Gated invocations the analytic fast path resolved in a batch.
+        Gated invocations the analytic fast path resolved in a batch
+        (``coll_analytic``'s replay).
+    collectives_emulated:
+        World allreduce invocations resolved by macro-step's flat
+        emulator (see :mod:`repro.simmpi.macrostep`).  Replayed rounds
+        try the emulator first, so these are counted here and *not* in
+        ``collectives_fast``.  Always 0 with macro-stepping off.
     engine:
         Which engine executed the run (``"threadfree"`` or
         ``"threads"``).  Purely informational: simulated quantities are
@@ -220,6 +226,7 @@ class RunResult:
     baton_handoffs: int = 0
     collectives_gated: int = 0
     collectives_fast: int = 0
+    collectives_emulated: int = 0
     engine: str = ENGINE_THREADS
     rounds_captured: int = 0
     rounds_replayed: int = 0
@@ -465,6 +472,7 @@ class _EngineBase:
         self.rounds_captured = 0
         self.rounds_replayed = 0
         self.deopts = 0
+        self.collectives_emulated = 0
         self._macro = None
         self.coll_gate = CollectiveGate(self)
         self.network = NetworkModel(machine, seed=seed, ranks_per_node=ranks_per_node,
@@ -559,6 +567,7 @@ class _EngineBase:
                 baton_handoffs=self.baton_handoffs,
                 collectives_gated=self.coll_gate.gated,
                 collectives_fast=self.coll_gate.fast,
+                collectives_emulated=self.collectives_emulated,
                 engine=self.engine_name,
                 rounds_captured=self.rounds_captured,
                 rounds_replayed=self.rounds_replayed,

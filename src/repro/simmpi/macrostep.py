@@ -42,7 +42,11 @@ Each rank gets an observation phase and a replay phase:
   gate protocol, recursive-doubling program, and transport in a single
   generator with pooled requests and no payload clones (safe: the
   exit gate bounds every payload's lifetime and the trusted reduce
-  ops are pure).
+  ops are pure).  It binds whatever the ``coll_analytic`` setting, and
+  the last rank to arrive resolves the invocation on the cheapest tier
+  that applies: the flat emulator (power-of-2 p, trusted ndarray
+  shape, no faults), else ``coll_analytic``'s replay when it owns the
+  kind, else every rank runs the compiled program.
 * **deopt** — the moment a guard fails (different call, peer, tag or
   size; a wildcard; a fault firing; the tail of the run) the lean
   bindings are removed, the call is delegated to the interpreter, and
@@ -208,6 +212,8 @@ class MacrostepController:
         #: Compiled whole-invocation allreduce schedules, keyed
         #: ``(p, nbytes)`` (see :func:`_emulate_allreduce`).
         self.emu_plans: dict = {}
+        #: World allreduce invocations the emulator resolved.
+        self.emulated = 0
 
     def attach(self) -> None:
         """Start observing every rank's world communicator."""
@@ -222,6 +228,7 @@ class MacrostepController:
         eng.rounds_captured = self.captured
         eng.rounds_replayed = sum(j.wraps for j in self.jits)
         eng.deopts = self.deopts
+        eng.collectives_emulated = self.emulated
 
     # -- capture ---------------------------------------------------------------
 
@@ -502,10 +509,10 @@ def _emulate_allreduce(ctrl: MacrostepController, entry) -> bool:
     / ``_complete``, sends match a posted receive by completing it at
     ``max(arrival, post_time) + o_recv``, and combines apply in
     canonical pair order.  Returns False (caller falls back to the
-    threaded per-message path) whenever any structural precondition
-    fails; True means the invocation is fully resolved — results in
-    ``entry.results``, every rank's real clock advanced to its final
-    value, counters flushed.
+    analytic replay, or to the per-message path when that is off)
+    whenever any structural precondition fails; True means the
+    invocation is fully resolved — results in ``entry.results``, every
+    rank's real clock advanced to its final value, counters flushed.
     """
     eng = ctrl.engine
     if eng._faults is not None:
@@ -513,7 +520,7 @@ def _emulate_allreduce(ctrl: MacrostepController, entry) -> bool:
     p = entry.size
     if p < 2 or p & (p - 1):
         # Non-power-of-2 counts add the pre/post folding phases; those
-        # rounds stay on the per-message replay path.
+        # rounds stay on the analytic or per-message tiers.
         return False
     args = entry.args
     a0 = args[0]
@@ -1190,55 +1197,50 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         pend = gate._pending
         entry = pend.get(ckey)
         if entry is None:
-            entry = pend[ckey] = _GateEntry("Allreduce", ckey, p)
+            entry = pend[ckey] = _GateEntry("allreduce", ckey, p)
             gate.gated += 1
-        if entry.kind != "Allreduce":
+        if entry.kind != "allreduce":
             deopt(jit)
             raise _kind_mismatch(ckey, entry.kind)
         entry.comms[me] = comm
-        # Register the interpreted program so a mixed-mode last
-        # arrival can still resolve the invocation analytically.
+        # Register the interpreted program: the analytic replay drives
+        # it, whether this method or an interpreted rank arrives last.
         entry.factories[me] = _prog_allreduce
         entry.args[me] = (sb, op)
         entry.arrived += 1
         if entry.arrived < p:
             yield Park(
                 ("collective gate: {} waiting for {} more rank(s)",
-                 "Allreduce", p - entry.arrived)
+                 "allreduce", p - entry.arrived)
             )
             if entry.mode == "fast":
                 result = gate._finish_fast(entry, me)
                 np.asarray(recvbuf)[...] = result
                 return None
         else:
-            # Last arrival resolves the invocation.  The analytic
-            # branch is normally unreachable — the binding policy keeps
-            # this method off when the analytic path would take the
-            # kind — but kept for correctness under config drift.
-            if eng.analytic_for("Allreduce") and faults is None:
+            # Last arrival resolves the invocation, cheapest tier
+            # first: the flat emulator (power-of-2 p, trusted shape, no
+            # faults), then the analytic replay when it owns the kind,
+            # then the compiled per-rank program below.  Either batch
+            # tier leaves results and final clocks in place, so the
+            # parked ranks resume through the same fast-mode finish
+            # (interpreted arrivals included — their ``g_run`` park
+            # handles mode == "fast" natively).
+            if _emulate_allreduce(ctrl, entry):
+                ctrl.emulated += 1
                 entry.mode = "fast"
+            elif eng.analytic_for("allreduce") and faults is None:
                 _Replay(entry).run()
                 gate.fast += 1
-                gate._wake_others(entry, me)
-                yield YIELD
-                result = gate._finish_fast(entry, me)
-                np.asarray(recvbuf)[...] = result
-                return None
-            if _emulate_allreduce(ctrl, entry):
-                # Whole-invocation flat replay: results and final
-                # clocks are already in place, so the parked ranks
-                # resume through the same fast-mode finish the analytic
-                # path uses (interpreted arrivals included — their
-                # ``g_run`` park handles mode == "fast" natively).
                 entry.mode = "fast"
-                gate._wake_others(entry, me)
-                yield YIELD
-                result = gate._finish_fast(entry, me)
-                np.asarray(recvbuf)[...] = result
-                return None
-            entry.mode = "threaded"
+            else:
+                entry.mode = "threaded"
             gate._wake_others(entry, me)
             yield YIELD
+            if entry.mode == "fast":
+                result = gate._finish_fast(entry, me)
+                np.asarray(recvbuf)[...] = result
+                return None
         # --- compiled recursive doubling (collectives._prog_allreduce,
         # inlined over the lean transport; no payload clones — the
         # trusted ops are pure and the exit gate bounds every payload's
@@ -1350,7 +1352,7 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
             entry.exit_parked.append(me)
             yield Park(
                 ("collective exit gate: {} waiting for {} unfinished "
-                 "rank(s)", "Allreduce", p - entry.exited)
+                 "rank(s)", "allreduce", p - entry.exited)
             )
         else:
             engine_ranks = eng
@@ -1380,11 +1382,10 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
     comm.irecv = lean_irecv
     comm.g_Sendrecv = lean_g_Sendrecv
     comm._collective_entry = lean_collective_entry
-    # The compiled collective binds only when the gate would go
-    # threaded; otherwise the analytic fast path owns the kind and the
-    # choke-point guard above keeps the template in sync.
-    if not (eng.analytic_for("Allreduce") and faults is None):
-        comm.g_Allreduce = lean_g_Allreduce
+    # The compiled collective binds whatever the analytic setting: its
+    # last arrival tries the emulator before the analytic replay, so
+    # replayed allreduce rounds take the cheapest tier that applies.
+    comm.g_Allreduce = lean_g_Allreduce
 
 
 def _kind_mismatch(ckey, started_as):
@@ -1392,5 +1393,5 @@ def _kind_mismatch(ckey, started_as):
 
     return CommMismatchError(
         f"collective mismatch in sub-context {ckey}: this rank called "
-        f"'Allreduce' but the invocation started as {started_as!r}"
+        f"'allreduce' but the invocation started as {started_as!r}"
     )

@@ -16,7 +16,8 @@ p in {17, 64, 256}, macro-step on vs off, with the thread-per-rank
 oracle closing the triangle at p=17 (the oracle spawns one OS thread
 per rank, so larger oracle runs live in the benchmark tier — the
 threadfree on/off comparison is the load-bearing one and runs at every
-scale).
+scale).  The default-flag allreduce tiers are checked against the
+oracle at p=64 too: that short churn keeps 64 OS threads cheap.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import pytest
 from repro.analysis.timeresolved import intervals_from_run
 from repro.errors import SimulationStalledError
 from repro.faults.plan import FaultPlan
-from repro.machine.catalog import laptop
+from repro.machine.catalog import laptop, nehalem_cluster
+from repro.simmpi import SUM, section
+from repro.simmpi.engine import run_mpi
 from repro.workloads import registry
 
 ZOO = ("halo2d", "taskfarm", "ringpipe", "bucketsort", "sparsegraph")
@@ -87,14 +90,19 @@ def _eq(a, b):
     return a == b
 
 
-def _assert_observables_identical(name, a, b):
-    """Everything the bit-identity contract covers (not sched_steps)."""
-    plugin = _plugin(name)
+def _assert_run_identical(a, b):
+    """The engine-level bit-identity contract (not sched_steps)."""
     assert _eq(a.results, b.results)
     assert a.clocks == b.clocks            # exact float equality, per rank
     assert a.walltime == b.walltime
     assert a.network == b.network
     assert a.section_events == b.section_events
+
+
+def _assert_observables_identical(name, a, b):
+    """Everything the bit-identity contract covers, plugin views too."""
+    plugin = _plugin(name)
+    _assert_run_identical(a, b)
     assert plugin.metrics(a) == plugin.metrics(b)
     sections = type(plugin).COMM_SECTIONS
     assert _eq(intervals_from_run(a, sections), intervals_from_run(b, sections))
@@ -167,3 +175,79 @@ def test_ineligible_workload_runs_interpreted():
     assert res.rounds_replayed == 0
     _assert_observables_identical(
         "taskfarm", res, _run("taskfarm", 17, macrostep=False))
+
+
+# -- default flags: the collective tiers compose --------------------------------
+
+
+def _allreduce_churn(rounds, skew_ranks=()):
+    """Latency-bound 16-double Allreduce churn inside sections.
+
+    ``skew_ranks`` (a sender/receiver pair) exchange one extra message in
+    round 1, so they capture their template one round after everybody
+    else and that round's allreduce mixes lean and interpreted arrivals.
+    """
+
+    def gmain(ctx):
+        comm = ctx.comm
+        acc = np.zeros(16)
+        for i in range(rounds):
+            if i == 1 and ctx.rank in skew_ranks:
+                src, dst = skew_ranks
+                if ctx.rank == src:
+                    yield from comm.g_send(float(i), dst, tag=5)
+                else:
+                    yield from comm.g_recv(src, tag=5)
+            with section(ctx, "COMPUTE"):
+                ctx.compute(1e-6 * (1 + ctx.rank % 3))
+            out = np.empty_like(acc)
+            with section(ctx, "ALLREDUCE"):
+                yield from comm.g_Allreduce(acc + ctx.rank, out, SUM)
+            acc = out
+        return acc
+
+    return gmain
+
+
+@pytest.mark.parametrize("case", ["p64", "p17", "p64-straggler", "p64-mixed"])
+def test_default_flags_allreduce_tiers_match_oracle(case):
+    """Default flags (analytic path *and* macro-step on) against the
+    thread-per-rank oracle with both fast paths off.
+
+    Replayed rounds take the cheapest tier that applies: the flat
+    emulator at power-of-2 p, ``coll_analytic``'s replay where the
+    emulator declines (p=17), the compiled message path under a fault
+    plan.  Whichever tier serves, every observable is bit-identical.
+    """
+    p = 17 if case == "p17" else 64
+    rounds = 8
+    gmain = _allreduce_churn(rounds, (0, 1) if case == "p64-mixed" else ())
+    plan = FAULTS["straggler"] if case == "p64-straggler" else None
+    kwargs = dict(
+        machine=nehalem_cluster(nodes=-(-p // 8), jitter=0.1),
+        seed=5,
+        compute_jitter=0.04,
+        noise_floor=1e-7,
+        faults=FaultPlan.from_dict(plan) if plan is not None else None,
+    )
+    on = run_mpi(p, gmain, **kwargs)
+    oracle = run_mpi(p, gmain, engine="threads", coll_analytic=False,
+                     macrostep=False, **kwargs)
+    _assert_run_identical(on, oracle)
+    assert on.engine == "threadfree"
+    assert on.rounds_replayed > 0
+    assert on.collectives_gated == oracle.collectives_gated == rounds
+    assert (oracle.collectives_fast, oracle.collectives_emulated) == (0, 0)
+    if case == "p64-straggler":
+        # Fault runs keep every round on the message path.
+        assert (on.collectives_fast, on.collectives_emulated) == (0, 0)
+        return
+    # No faults: each invocation is resolved in a batch, by exactly one
+    # of the two tiers.
+    assert on.collectives_emulated + on.collectives_fast == rounds
+    if case == "p17":
+        # The emulator declines non-power-of-2 p; the analytic replay
+        # serves the lean ranks' rounds instead.
+        assert on.collectives_emulated == 0
+    else:
+        assert on.collectives_emulated > 0
